@@ -24,6 +24,7 @@ import (
 
 	"adr/internal/backend"
 	"adr/internal/chunk"
+	"adr/internal/core"
 	"adr/internal/metrics"
 	"adr/internal/rpc"
 )
@@ -69,7 +70,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 		workers:      fs.Int("workers", 0, "decode+aggregate workers per query (0 = GOMAXPROCS)"),
 		batchWindow:  fs.Duration("batch-window", 0, "shared-scan batching window: queries admitted within it dedup overlapping reads (0 disables)"),
 		maxBatch:     fs.Int("max-batch", 8, "max queries per shared-scan batch (effective with -batch-window > 0)"),
-		fwdWindow:    fs.Int64("fwd-window-bytes", 0, "per-peer in-flight forwarded-byte window; senders block until receivers consume (0 disables)"),
+		fwdWindow:    fs.Int64("fwd-window-bytes", 0, "per-peer in-flight forwarded-byte window; senders block until receivers consume (0 selects 256 KiB, negative disables)"),
 		fwdBudget:    fs.Int64("fwd-budget-bytes", 0, "node-wide in-flight forwarded-byte budget across all peers (0 disables)"),
 		degraded:     fs.Bool("degraded", false, "survive back-end node deaths by re-planning onto replica holders (needs -replicas >= 2 at load time; same value on every node)"),
 		compress:     fs.String("compress", "none", "default codec for engine payloads on the wire: none, flate or columnar (query specs override)"),
@@ -132,8 +133,8 @@ func main() {
 	if *opt.batchWindow > 0 {
 		fmt.Printf("adr-node %d: shared scans on: window %v, max batch %d\n", *id, *opt.batchWindow, *opt.maxBatch)
 	}
-	if *opt.fwdWindow > 0 || *opt.fwdBudget > 0 {
-		fmt.Printf("adr-node %d: forwarding flow control: window %d B/peer, budget %d B\n", *id, *opt.fwdWindow, *opt.fwdBudget)
+	if window := core.FwdWindow(*opt.fwdWindow, *opt.fwdBudget); window > 0 || *opt.fwdBudget > 0 {
+		fmt.Printf("adr-node %d: forwarding flow control: window %d B/peer, budget %d B\n", *id, window, *opt.fwdBudget)
 	}
 	if *opt.degraded {
 		fmt.Printf("adr-node %d: degraded-mode execution on: peer deaths re-plan onto replica holders\n", *id)

@@ -102,20 +102,47 @@ func (a *rasterAccum) cellAt(p space.Point) (int, bool) {
 	if !a.mbr.Contains(p) {
 		return 0, false
 	}
-	w := a.mbr.Hi[0] - a.mbr.Lo[0]
-	h := a.mbr.Hi[1] - a.mbr.Lo[1]
-	if w <= 0 || h <= 0 {
+	g := a.grid()
+	return g.cell(p.Coords[0], p.Coords[1])
+}
+
+// grid2D is an accumulator's cell geometry in its first two dimensions,
+// with the per-item invariants computed once.
+type grid2D struct {
+	lo0, hi0, lo1, hi1 float64
+	w, h               float64
+	fnx, fny           float64 // cells per dimension
+	lastX, lastY       float64 // index of the last cell per dimension
+	nx                 int
+}
+
+func (a *rasterAccum) grid() grid2D {
+	return grid2D{
+		lo0: a.mbr.Lo[0], hi0: a.mbr.Hi[0], lo1: a.mbr.Lo[1], hi1: a.mbr.Hi[1],
+		w: a.mbr.Hi[0] - a.mbr.Lo[0], h: a.mbr.Hi[1] - a.mbr.Lo[1],
+		fnx: float64(a.nx), fny: float64(a.ny),
+		lastX: float64(a.nx - 1), lastY: float64(a.ny - 1),
+		nx: a.nx,
+	}
+}
+
+// cell maps (x, y) to its raster cell; points on the Hi edges clamp into
+// the last row or column. Points outside the box land in no cell, and so
+// does any position whose cell offset is not a number: a NaN coordinate
+// (every comparison with NaN is false, so the tests are written to fail on
+// it), a zero-width box (0/0) or an infinite one (Inf/Inf). Clamping before
+// the conversion keeps int() away from out-of-range floats; for offsets
+// >= 0 it matches clamping the converted index.
+func (g *grid2D) cell(x, y float64) (int, bool) {
+	if !(x >= g.lo0 && x <= g.hi0 && y >= g.lo1 && y <= g.hi1) {
 		return 0, false
 	}
-	cx := int((p.Coords[0] - a.mbr.Lo[0]) / w * float64(a.nx))
-	cy := int((p.Coords[1] - a.mbr.Lo[1]) / h * float64(a.ny))
-	if cx >= a.nx {
-		cx = a.nx - 1
+	fx := (x - g.lo0) / g.w * g.fnx
+	fy := (y - g.lo1) / g.h * g.fny
+	if !(fx >= 0 && fy >= 0) {
+		return 0, false
 	}
-	if cy >= a.ny {
-		cy = a.ny - 1
-	}
-	return cy*a.nx + cx, true
+	return int(min(fy, g.lastY))*g.nx + int(min(fx, g.lastX)), true
 }
 
 func (a *rasterAccum) cellCenter(idx int) space.Point {
@@ -185,6 +212,9 @@ func (r *RasterApp) Aggregate(acc engine.Accumulator, out chunk.Meta, in *chunk.
 	if !ok {
 		return fmt.Errorf("apps: accumulator is %T, want *rasterAccum", acc)
 	}
+	if r.MapPoint == nil && a.mbr.Dims == 2 {
+		return r.aggregate2D(a, in.Items)
+	}
 	for _, it := range in.Items {
 		p := it.Coord
 		if r.MapPoint != nil {
@@ -201,6 +231,28 @@ func (r *RasterApp) Aggregate(acc engine.Accumulator, out chunk.Meta, in *chunk.
 			return err
 		}
 		r.apply(a, cell, v)
+	}
+	return nil
+}
+
+// aggregate2D is Aggregate for the common case: the default projection into
+// a 2-D output region. Projecting to the first two coordinates makes the
+// region test exactly grid2D's box test, so items are read in place instead
+// of copying each Point through projectTo2D and Rect.Contains. The
+// arithmetic is the generic path's, so the accumulators are bit-identical.
+func (r *RasterApp) aggregate2D(a *rasterAccum, items []chunk.Item) error {
+	g := a.grid()
+	for i := range items {
+		it := &items[i]
+		cell, ok := g.cell(it.Coord.Coords[0], it.Coord.Coords[1])
+		if !ok {
+			continue
+		}
+		if len(it.Value) != 8 {
+			_, err := DecodeValue(it.Value)
+			return err
+		}
+		r.apply(a, cell, int64(binary.LittleEndian.Uint64(it.Value)))
 	}
 	return nil
 }

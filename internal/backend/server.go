@@ -81,13 +81,14 @@ type Config struct {
 	// (engine.Config.Workers); <= 0 lets the engine default to
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// FwdWindowBytes, when > 0, bounds this node's in-flight forwarded bytes
-	// toward any single mesh peer: every chunk payload is charged against
-	// the destination's credit window and the sender blocks until the
-	// receiving engine consumes earlier payloads (credits return over the
-	// wire as the receiver releases them). FwdBudgetBytes likewise bounds
-	// the node's total in-flight bytes across all peers. 0 disables each.
-	// Must be identical on every node, like AccMemBytes.
+	// FwdWindowBytes bounds this node's in-flight forwarded bytes toward any
+	// single mesh peer: every chunk payload is charged against the
+	// destination's credit window and the sender blocks until the receiving
+	// engine consumes earlier payloads (credits return over the wire as the
+	// receiver releases them). 0 selects core.DefaultFwdWindowBytes;
+	// negative disables the window. FwdBudgetBytes, when > 0, likewise
+	// bounds the node's total in-flight bytes across all peers; 0 disables
+	// it. Both must be identical on every node, like AccMemBytes.
 	FwdWindowBytes int64
 	FwdBudgetBytes int64
 	// Degraded enables degraded-mode query execution: when a mesh peer dies
@@ -175,6 +176,7 @@ func Start(cfg Config) (*Server, error) {
 	if cfg.AccMemBytes <= 0 {
 		cfg.AccMemBytes = core.DefaultAccMemBytes
 	}
+	cfg.FwdWindowBytes = core.FwdWindow(cfg.FwdWindowBytes, cfg.FwdBudgetBytes)
 	m, datasets, err := layout.LoadManifest(cfg.DataDir)
 	if err != nil {
 		return nil, err

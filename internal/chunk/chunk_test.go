@@ -2,7 +2,10 @@ package chunk
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -112,6 +115,52 @@ func TestDecodeCorrupt(t *testing.T) {
 		if _, err := Decode(buf); err == nil {
 			t.Errorf("%s: Decode should fail", name)
 		}
+	}
+}
+
+// TestDecodeCorruptCountAllocatesLittle: a frame whose item count claims far
+// more items than its bytes can hold fails before the item slice is
+// allocated. A 1 MiB frame claiming 2^20 items would otherwise allocate
+// about 100 MB of Items before running out of bytes.
+func TestDecodeCorruptCountAllocatesLittle(t *testing.T) {
+	buf := Encode(&Chunk{Meta: Meta{Dataset: "d", MBR: space.R(0, 1, 0, 1)}})
+	binary.LittleEndian.PutUint32(buf[18:], 1<<20)
+	buf = append(buf, make([]byte, 1<<20)...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(buf)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Decode = %v, want ErrCorrupt", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("Decode allocated %d bytes rejecting a corrupt item count, want <= 64 KiB", got)
+	}
+}
+
+// TestDecodeIntoReusesItems: decoding into a chunk whose Items already has
+// the capacity allocates nothing, and the result matches Decode.
+func TestDecodeIntoReusesItems(t *testing.T) {
+	buf := Encode(compressibleChunk(64))
+	var c Chunk
+	if err := DecodeInto(&c, buf); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := DecodeInto(&c, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("DecodeInto into a warm chunk made %v allocations, want 0", allocs)
+	}
+	want, err := Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameChunk(want, &c) {
+		t.Error("DecodeInto result differs from Decode")
 	}
 }
 

@@ -84,151 +84,105 @@ func AppendTo(c *Chunk, dst []byte) []byte {
 	return buf
 }
 
-type reader struct {
-	buf []byte
-	off int
-}
+// headerSize is the fixed-width prefix of the encoding: magic through dsLen.
+const headerSize = 4 + 1 + 1 + 4 + 4 + 4 + 4 + 2
 
-func (r *reader) need(n int) error {
-	if r.off+n > len(r.buf) {
-		return fmt.Errorf("%w: need %d bytes at offset %d, have %d", ErrCorrupt, n, r.off, len(r.buf))
-	}
-	return nil
-}
-
-func (r *reader) u8() (byte, error) {
-	if err := r.need(1); err != nil {
-		return 0, err
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v, nil
-}
-
-func (r *reader) u16() (uint16, error) {
-	if err := r.need(2); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint16(r.buf[r.off:])
-	r.off += 2
-	return v, nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	if err := r.need(4); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *reader) f64() (float64, error) {
-	if err := r.need(8); err != nil {
-		return 0, err
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
-	r.off += 8
-	return v, nil
-}
-
-func (r *reader) bytes(n int) ([]byte, error) {
-	if err := r.need(n); err != nil {
-		return nil, err
-	}
-	v := r.buf[r.off : r.off+n : r.off+n]
-	r.off += n
-	return v, nil
-}
-
-// Decode parses a chunk encoded by Encode. Item values alias the input
-// buffer; callers that mutate payloads must copy first.
+// Decode parses a chunk encoded by Encode into a fresh Chunk. Item values
+// alias the input buffer; callers that mutate payloads must copy first.
 func Decode(buf []byte) (*Chunk, error) {
-	r := &reader{buf: buf}
-	m, err := r.u32()
-	if err != nil {
+	c := new(Chunk)
+	if err := DecodeInto(c, buf); err != nil {
 		return nil, err
 	}
-	if m != magic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, m)
+	return c, nil
+}
+
+// DecodeInto parses a chunk encoded by Encode into c, overwriting its Meta
+// and reusing the capacity of c.Items, so a caller that keeps one scratch
+// Chunk per worker decodes without allocating. The result is exactly what
+// Decode returns. Item values alias buf, as with Decode; a caller recycling
+// c must clear(c.Items) once done with them, on success or error, so the
+// scratch does not pin buf. On error c's other contents are unspecified.
+func DecodeInto(c *Chunk, buf []byte) error {
+	le := binary.LittleEndian
+	if len(buf) < headerSize {
+		return fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrCorrupt, len(buf), headerSize)
 	}
-	ver, err := r.u8()
-	if err != nil {
-		return nil, err
+	if m := le.Uint32(buf); m != magic {
+		return fmt.Errorf("%w: bad magic %#x", ErrCorrupt, m)
 	}
-	if ver != version {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
+	if buf[4] != version {
+		return fmt.Errorf("%w: unsupported version %d", ErrCorrupt, buf[4])
 	}
-	dims8, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	dims := int(dims8)
+	dims := int(buf[5])
 	if dims == 0 || dims > space.MaxDims {
-		return nil, fmt.Errorf("%w: dims %d out of range", ErrCorrupt, dims)
+		return fmt.Errorf("%w: dims %d out of range", ErrCorrupt, dims)
 	}
-	var c Chunk
-	id, err := r.u32()
-	if err != nil {
-		return nil, err
+	nitems := le.Uint32(buf[18:])
+	dsLen := int(le.Uint16(buf[22:]))
+	off := headerSize
+	if len(buf)-off < dsLen+16*dims {
+		return fmt.Errorf("%w: need %d bytes of name and MBR at offset %d, have %d",
+			ErrCorrupt, dsLen+16*dims, off, len(buf))
 	}
-	c.Meta.ID = ID(int32(id))
-	disk, err := r.u32()
-	if err != nil {
-		return nil, err
+	// Reuse the previous name when it matches: the comparison does not
+	// allocate, so a scratch chunk decoding one dataset's chunks never does.
+	name := c.Meta.Dataset
+	if ds := buf[off : off+dsLen]; name != string(ds) {
+		name = string(ds)
 	}
-	c.Meta.Disk = int32(disk)
-	node, err := r.u32()
-	if err != nil {
-		return nil, err
+	off += dsLen
+	c.Meta = Meta{
+		ID:      ID(int32(le.Uint32(buf[6:]))),
+		Dataset: name,
+		Disk:    int32(le.Uint32(buf[10:])),
+		Node:    int32(le.Uint32(buf[14:])),
 	}
-	c.Meta.Node = int32(node)
-	nitems, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	dsLen, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	ds, err := r.bytes(int(dsLen))
-	if err != nil {
-		return nil, err
-	}
-	c.Meta.Dataset = string(ds)
 	c.Meta.MBR.Dims = dims
 	for d := 0; d < dims; d++ {
-		if c.Meta.MBR.Lo[d], err = r.f64(); err != nil {
-			return nil, err
+		c.Meta.MBR.Lo[d] = math.Float64frombits(le.Uint64(buf[off+8*d:]))
+		c.Meta.MBR.Hi[d] = math.Float64frombits(le.Uint64(buf[off+8*(dims+d):]))
+	}
+	off += 16 * dims
+
+	// Every item takes at least its coordinates and value length, so the
+	// remaining bytes bound the count before anything is allocated: a
+	// corrupt count cannot make a small frame allocate gigabytes.
+	stride := 8*dims + 4
+	if uint64(nitems) > uint64((len(buf)-off)/stride) {
+		return fmt.Errorf("%w: item count %d exceeds the %d bytes left at offset %d",
+			ErrCorrupt, nitems, len(buf)-off, off)
+	}
+	n := int(nitems)
+	if cap(c.Items) < n {
+		c.Items = make([]Item, n)
+	}
+	// Extend c.Items before filling it, so even after an error every item
+	// written is within len and a caller's clear(c.Items) reaches it.
+	c.Items = c.Items[:n]
+	items := c.Items
+	for i := range items {
+		if len(buf)-off < stride {
+			return fmt.Errorf("%w: item %d needs %d bytes at offset %d, have %d",
+				ErrCorrupt, i, stride, off, len(buf))
 		}
-	}
-	for d := 0; d < dims; d++ {
-		if c.Meta.MBR.Hi[d], err = r.f64(); err != nil {
-			return nil, err
-		}
-	}
-	if nitems > uint32(len(buf)) {
-		return nil, fmt.Errorf("%w: item count %d exceeds buffer", ErrCorrupt, nitems)
-	}
-	c.Items = make([]Item, 0, nitems)
-	for i := uint32(0); i < nitems; i++ {
-		var it Item
-		it.Coord.Dims = dims
+		rec := buf[off : off+stride]
+		it := &items[i]
+		it.Coord = space.Point{Dims: dims}
 		for d := 0; d < dims; d++ {
-			if it.Coord.Coords[d], err = r.f64(); err != nil {
-				return nil, err
-			}
+			it.Coord.Coords[d] = math.Float64frombits(le.Uint64(rec[8*d:]))
 		}
-		vlen, err := r.u32()
-		if err != nil {
-			return nil, err
+		vlen := le.Uint32(rec[8*dims:])
+		off += stride
+		if uint64(vlen) > uint64(len(buf)-off) {
+			return fmt.Errorf("%w: item %d value needs %d bytes at offset %d, have %d",
+				ErrCorrupt, i, vlen, off, len(buf))
 		}
-		if it.Value, err = r.bytes(int(vlen)); err != nil {
-			return nil, err
-		}
-		c.Items = append(c.Items, it)
+		end := off + int(vlen)
+		it.Value = buf[off:end:end]
+		off = end
 	}
 	c.Meta.Items = int32(nitems)
-	c.Meta.Bytes = int64(r.off)
-	return &c, nil
+	c.Meta.Bytes = int64(off)
+	return nil
 }

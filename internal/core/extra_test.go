@@ -247,3 +247,22 @@ func TestExecuteBatch(t *testing.T) {
 		t.Errorf("error does not name the failing query: %v", err)
 	}
 }
+
+// TestFwdWindowDefault pins how a configured forwarding window resolves:
+// unset turns flow control on at the default (never above a smaller node
+// budget, which the engine would reject), negative turns it off.
+func TestFwdWindowDefault(t *testing.T) {
+	for _, tc := range []struct{ window, budget, want int64 }{
+		{0, 0, core.DefaultFwdWindowBytes},
+		{0, 1 << 30, core.DefaultFwdWindowBytes},
+		{0, 64 << 10, 64 << 10},
+		{-1, 0, 0},
+		{-1, 64 << 10, 0},
+		{4 << 10, 0, 4 << 10},
+		{1 << 20, 4 << 20, 1 << 20},
+	} {
+		if got := core.FwdWindow(tc.window, tc.budget); got != tc.want {
+			t.Errorf("FwdWindow(%d, %d) = %d, want %d", tc.window, tc.budget, got, tc.want)
+		}
+	}
+}

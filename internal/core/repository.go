@@ -70,14 +70,37 @@ type Options struct {
 	// that does not shrink below this fraction of its raw size stays raw);
 	// 0 selects chunk.DefaultMinRatio.
 	CompressMinRatio float64
-	// FwdWindowBytes, when > 0, bounds each node's in-flight forwarded
-	// bytes toward any single peer: the fabric charges every chunk payload
-	// against the destination's credit window and senders block until the
-	// receiving engine consumes earlier payloads. FwdBudgetBytes likewise
-	// bounds one node's in-flight bytes across all peers. 0 disables each
-	// (the historical unbounded behaviour).
+	// FwdWindowBytes bounds each node's in-flight forwarded bytes toward
+	// any single peer: the fabric charges every chunk payload against the
+	// destination's credit window and senders block until the receiving
+	// engine consumes earlier payloads. 0 selects DefaultFwdWindowBytes;
+	// negative disables the window (unbounded forwarding). FwdBudgetBytes,
+	// when > 0, likewise bounds one node's in-flight bytes across all
+	// peers; 0 disables it.
 	FwdWindowBytes int64
 	FwdBudgetBytes int64
+}
+
+// DefaultFwdWindowBytes is the per-peer forwarding window used when none is
+// configured. Without a window, a receiver slower than its senders buffers
+// forwarded chunks without bound; DESIGN.md §12 records the measurements
+// behind the size.
+const DefaultFwdWindowBytes = 256 << 10
+
+// FwdWindow resolves a configured per-peer forwarding window to the value
+// the transport enforces (0 = unbounded): 0 selects DefaultFwdWindowBytes,
+// capped at a smaller node budget so the pair stays consistent, and a
+// negative value disables the window.
+func FwdWindow(window, budget int64) int64 {
+	switch {
+	case window < 0:
+		return 0
+	case window > 0:
+		return window
+	case budget > 0 && budget < DefaultFwdWindowBytes:
+		return budget
+	}
+	return DefaultFwdWindowBytes
 }
 
 // DefaultAccMemBytes is the per-processor accumulator memory used when the
@@ -97,7 +120,7 @@ type Repository struct {
 	codec    chunk.Codec
 	minRatio float64
 	// fwdWindow/fwdBudget configure the fabric's forwarding flow control
-	// for every query this repository executes (0 = disabled).
+	// for every query this repository executes (resolved; 0 = disabled).
 	fwdWindow int64
 	fwdBudget int64
 	// scans, when non-nil, holds one shared-scan scheduler per in-process
@@ -147,7 +170,7 @@ func NewRepository(opts Options) (*Repository, error) {
 		replicas:  opts.Replicas,
 		codec:     opts.Codec,
 		minRatio:  opts.CompressMinRatio,
-		fwdWindow: opts.FwdWindowBytes,
+		fwdWindow: FwdWindow(opts.FwdWindowBytes, opts.FwdBudgetBytes),
 		fwdBudget: opts.FwdBudgetBytes,
 		datasets:  make(map[string]*layout.Dataset),
 

@@ -47,12 +47,12 @@ type App interface {
 	// maps items (Map) and aggregates those landing in out's region. Must
 	// be commutative and associative across calls, as §1 requires of ADR
 	// aggregation functions. Must not retain in or anything aliasing it
-	// (item values alias the transport buffer, which the engine recycles
-	// when Aggregate returns); copy what the accumulator keeps. The engine
-	// serializes Aggregate calls per accumulator but runs calls on
-	// different accumulators concurrently (Config.Workers), so apps must
-	// not share mutable state across accumulators without their own
-	// synchronization.
+	// (the engine reuses in for the next chunk, and item values alias the
+	// transport buffer, which it recycles when Aggregate returns); copy
+	// what the accumulator keeps. The engine serializes Aggregate calls per
+	// accumulator but runs calls on different accumulators concurrently
+	// (Config.Workers), so apps must not share mutable state across
+	// accumulators without their own synchronization.
 	Aggregate(acc Accumulator, out chunk.Meta, in *chunk.Chunk) error
 
 	// Combine merges a partial accumulator (a ghost) into dst during the

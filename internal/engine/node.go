@@ -510,6 +510,11 @@ func (n *node) compressForSend(payload []byte, codec chunk.Codec) []byte {
 	return env
 }
 
+// decodeScratch recycles the chunks local-reduction workers decode into, so
+// the per-item Items slice is allocated once per worker rather than once per
+// input chunk.
+var decodeScratch = sync.Pool{New: func() any { return new(chunk.Chunk) }}
+
 // phaseLocalReduction retrieves this node's local input chunks (with
 // read-ahead, overlapping disk and processing), aggregates them into every
 // allocated target accumulator of the tile, forwards them to remote homes,
@@ -550,7 +555,14 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 		if scratch != nil {
 			defer bufpool.Put(scratch)
 		}
-		c, err := chunk.Decode(raw)
+		c := decodeScratch.Get().(*chunk.Chunk)
+		defer func() {
+			// The items alias raw (a transport or bufpool buffer); drop them
+			// so the pooled chunk does not pin it.
+			clear(c.Items)
+			decodeScratch.Put(c)
+		}()
+		err = chunk.DecodeInto(c, raw)
 		n.met.DecodeNanos.Add(time.Since(ds).Nanoseconds())
 		if err != nil {
 			return fmt.Errorf("decode %s %d: %w", kind, wk.seq, err)
